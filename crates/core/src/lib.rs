@@ -74,8 +74,6 @@ pub use checkpoint::{CellSpec, FsyncPolicy, Journal, JournalError};
 pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};
 pub use fault::{FaultCounters, FaultPlan, LifecyclePlan, RecoveryEvent};
 pub use metrics::{FaultReport, PhaseRow, PhaseStageRow, PhaseSummary, SimReport, WearReport};
-#[allow(deprecated)]
-pub use runner::{run_platform, run_recorded, run_replay};
 pub use runner::{GridRun, Run};
 pub use system::System;
 

@@ -12,12 +12,6 @@
 //!   the private `origin` module).
 //! - `PlanarBackend` — hot-page promotion by DRAM/XPoint page swaps.
 //! - `TwoLevelBackend` — DRAM as a direct-mapped cache over XPoint.
-//!
-//! Per-request policy state is strictly per-controller on the Planar and
-//! TwoLevel backends, so those backends can lend disjoint controller
-//! ranges to the epoch scheduler as [`BackendShard`]s; only *report-time*
-//! aggregation (planner wear) crosses controllers, and it stays on the
-//! whole backend, preserving its exact floating-point reduction order.
 
 use ohm_hetero::{
     MigrationCaps, PlanarConfig, PlanarLocation, PlanarMapping, Platform, SwapRequest,
@@ -79,97 +73,6 @@ pub trait MemoryBackend {
     fn state_bytes(&self) -> usize {
         0
     }
-
-    /// Lends the backend's per-controller policy state out as disjoint
-    /// contiguous shards, one per entry of `counts`, for the epoch
-    /// scheduler's workers. `None` (the default) means the backend holds
-    /// cross-controller request-path state and cannot shard — the run
-    /// falls back to the serial loop.
-    fn split_mc(&mut self, _counts: &[usize]) -> Option<Vec<BackendShard<'_>>> {
-        None
-    }
-}
-
-/// A contiguous slice of one backend's per-controller policy state, lent
-/// to one epoch-scheduler worker. Controller indices stay *global* and
-/// are rebased internally; request-path behaviour is identical to the
-/// whole backend's, byte for byte. Report-time queries (planner wear,
-/// host report, state bytes) stay on the whole backend.
-pub enum BackendShard<'a> {
-    /// A backend with no per-request policy state (Oracle).
-    Stateless,
-    /// A slice of the planar backend's per-controller page mappings.
-    Planar {
-        /// Mappings for controllers `base..base + maps.len()`.
-        maps: &'a mut [PlanarMapping],
-        /// Migration capabilities of the platform (shared, `Copy`).
-        caps: MigrationCaps,
-        /// Global controller index of `maps[0]`.
-        base: usize,
-    },
-    /// A slice of the two-level backend's per-controller tag state.
-    TwoLevel {
-        /// Caches for controllers `base..base + caches.len()`.
-        caches: &'a mut [TwoLevelCache],
-        /// Migration capabilities of the platform (shared, `Copy`).
-        caps: MigrationCaps,
-        /// Global controller index of `caches[0]`.
-        base: usize,
-    },
-}
-
-impl MemoryBackend for BackendShard<'_> {
-    fn service(
-        &mut self,
-        env: &mut MemEnv<'_>,
-        now: Ps,
-        mc: usize,
-        _ga: Addr,
-        la: Addr,
-        kind: MemKind,
-    ) -> Ps {
-        match self {
-            BackendShard::Stateless => oracle_service(env, now, mc, la, kind),
-            BackendShard::Planar { maps, caps, base } => {
-                planar_service(&mut maps[mc - *base], *caps, env, now, mc, la, kind)
-            }
-            BackendShard::TwoLevel { caches, caps, base } => {
-                twolevel_service(&mut caches[mc - *base], *caps, env, now, mc, la, kind)
-            }
-        }
-    }
-
-    fn retire_xpoint_line(&mut self, mc: usize, xpoint_addr: Addr) {
-        match self {
-            BackendShard::Stateless => {}
-            BackendShard::Planar { maps, base, .. } => {
-                maps[mc - *base].retire_xpoint_page(xpoint_addr);
-            }
-            BackendShard::TwoLevel { caches, base, .. } => {
-                caches[mc - *base].retire_line(xpoint_addr);
-            }
-        }
-    }
-}
-
-/// Splits `items` into contiguous chunks sized by `counts`, tagging each
-/// with its starting index.
-fn split_counts<'a, T>(items: &'a mut [T], counts: &[usize]) -> Vec<(&'a mut [T], usize)> {
-    assert_eq!(
-        counts.iter().sum::<usize>(),
-        items.len(),
-        "shard counts must cover every controller"
-    );
-    let mut out = Vec::with_capacity(counts.len());
-    let mut rest = items;
-    let mut base = 0;
-    for &n in counts {
-        let (head, tail) = rest.split_at_mut(n);
-        out.push((head, base));
-        rest = tail;
-        base += n;
-    }
-    out
 }
 
 /// Builds the policy backend for `platform`, sized like the devices in
@@ -226,12 +129,6 @@ pub(crate) fn build_backend(
 /// Oracle: every access is a local DRAM hit — the all-DRAM upper bound.
 struct OracleBackend;
 
-/// Services one oracle request: a local DRAM hit, no policy at all.
-fn oracle_service(env: &mut MemEnv<'_>, now: Ps, mc: usize, la: Addr, kind: MemKind) -> Ps {
-    env.stats.record_service(mc, true);
-    env.dram_line_rt(now, mc, la, kind)
-}
-
 impl MemoryBackend for OracleBackend {
     fn service(
         &mut self,
@@ -242,11 +139,8 @@ impl MemoryBackend for OracleBackend {
         la: Addr,
         kind: MemKind,
     ) -> Ps {
-        oracle_service(env, now, mc, la, kind)
-    }
-
-    fn split_mc(&mut self, counts: &[usize]) -> Option<Vec<BackendShard<'_>>> {
-        Some(counts.iter().map(|_| BackendShard::Stateless).collect())
+        env.stats.record_service(mc, true);
+        env.dram_line_rt(now, mc, la, kind)
     }
 }
 
@@ -256,205 +150,6 @@ struct PlanarBackend {
     /// Per-controller page mapping and hotness tracking.
     maps: Vec<PlanarMapping>,
     caps: MigrationCaps,
-}
-
-/// Services one planar request at controller `mc` against that
-/// controller's mapping (shared by the whole backend and its shards).
-fn planar_service(
-    map: &mut PlanarMapping,
-    caps: MigrationCaps,
-    env: &mut MemEnv<'_>,
-    now: Ps,
-    mc: usize,
-    la: Addr,
-    kind: MemKind,
-) -> Ps {
-    if let Some(req) = map.record_access(la) {
-        planar_swap(map, caps, env, now, mc, req);
-    }
-    match map.lookup(la) {
-        PlanarLocation::Dram(pa) => {
-            // While the page's swap is still in flight the data lives
-            // at its old XPoint location; serve from the stale copy
-            // rather than stalling (the remap commits at swap end).
-            if let Some(r) = env.mc(mc).conflicts.redirect_dram(pa) {
-                let paired = r.paired;
-                env.stats.record_service(mc, false);
-                let done = env.xpoint_line_rt(now, mc, paired, kind);
-                if kind.is_read() {
-                    env.stats.record_xpoint_read_latency(done - now);
-                }
-                return done;
-            }
-            env.stats.record_service(mc, true);
-            let done = env.dram_line_rt(now, mc, pa, kind);
-            if kind.is_read() {
-                env.stats.record_dram_read_latency(done - now);
-            }
-            done
-        }
-        PlanarLocation::XPoint(pa) => {
-            if let Some(r) = env.mc(mc).conflicts.redirect_xpoint(pa) {
-                let paired = r.paired;
-                env.stats.record_service(mc, true);
-                let done = env.dram_line_rt(now, mc, paired, kind);
-                if kind.is_read() {
-                    env.stats.record_dram_read_latency(done - now);
-                }
-                return done;
-            }
-            env.stats.record_service(mc, false);
-            let done = env.xpoint_line_rt(now, mc, pa, kind);
-            if kind.is_read() {
-                env.stats.record_xpoint_read_latency(done - now);
-            }
-            done
-        }
-    }
-}
-
-/// Books one page swap's machinery and commits the remap.
-fn planar_swap(
-    map: &mut PlanarMapping,
-    caps: MigrationCaps,
-    env: &mut MemEnv<'_>,
-    now: Ps,
-    mc: usize,
-    req: SwapRequest,
-) {
-    let page_bits = req.page_bytes * 8;
-    let lines = req.page_bytes / env.cfg.line_bytes;
-    env.stats.record_migration(mc);
-
-    if caps.swap {
-        // SWAP-CMD metadata on the data route; the copy itself rides
-        // the memory route under the XPoint controller's DDR sequence
-        // generator (Figures 10a and 11).
-        let (_, cmd_done) = env.fabric.xfer(
-            now,
-            mc,
-            SwapCmd::METADATA_BITS,
-            TrafficClass::Migration,
-            DEV_XPOINT,
-        );
-        let preset = env.mc(mc).dram.preset_row(cmd_done, req.dram_addr);
-        let promote_read = {
-            let xp = env.mc(mc).xpoint.as_mut().expect("planar");
-            xp.read_page(cmd_done, req.xpoint_addr, lines).ready_at
-        };
-        let (_, to_dram) = env
-            .fabric
-            .memory_route(promote_read.max(preset), mc, page_bits);
-        // The XPoint controller's DDR sequence generator drives the
-        // DRAM transactions directly (Figure 11, steps 3-4).
-        let dram_written = {
-            let m = env.mc(mc);
-            m.ddr_seq.execute_page(
-                &mut m.dram,
-                to_dram,
-                req.dram_addr,
-                req.page_bytes,
-                MemKind::Write,
-            )
-        };
-        let dram_read = {
-            let m = env.mc(mc);
-            m.ddr_seq.execute_page(
-                &mut m.dram,
-                preset,
-                req.dram_addr,
-                req.page_bytes,
-                MemKind::Read,
-            )
-        };
-        let (_, to_xp) = env.fabric.memory_route(dram_read, mc, page_bits);
-        let xp_written = {
-            let xp = env.mc(mc).xpoint.as_mut().expect("planar");
-            xp.write_page(to_xp, req.xpoint_addr, lines).ready_at
-        };
-        env.stats.record_swap_window(dram_written - now);
-        env.stage(Stage::Migration, mc, now, dram_written);
-        env.register_swap_pages(mc, req.dram_addr, req.xpoint_addr, dram_written, xp_written);
-    } else if caps.auto_rw {
-        // Reads before writes: the XPoint controller prioritises
-        // latency-critical reads over buffered write drains, so the
-        // promote leg's page read is booked first.
-        //
-        // Promote leg runs through the controller: XP -> MC -> DRAM.
-        let promote_read = {
-            let xp = env.mc(mc).xpoint.as_mut().expect("planar");
-            xp.read_page(now, req.xpoint_addr, lines).ready_at
-        };
-        let (_, up) = env.fabric.xfer(
-            promote_read,
-            mc,
-            page_bits,
-            TrafficClass::Migration,
-            DEV_XPOINT,
-        );
-        let (_, down) = env
-            .fabric
-            .xfer(up, mc, page_bits, TrafficClass::Migration, DEV_DRAM);
-        let dram_written = env.dram_page_op(down, mc, req.dram_addr, MemKind::Write);
-        // Demote leg: the MC reads the DRAM page over the data route;
-        // the XPoint controller snarfs it - no second transfer.
-        let dram_read = env.dram_page_op(now, mc, req.dram_addr, MemKind::Read);
-        let (_, demote_xfer) =
-            env.fabric
-                .xfer(dram_read, mc, page_bits, TrafficClass::Migration, DEV_DRAM);
-        {
-            let line_bytes = env.cfg.line_bytes;
-            let xp = env.mc(mc).xpoint.as_mut().expect("planar");
-            for i in 0..lines {
-                xp.snarf_write(demote_xfer, req.xpoint_addr.offset(i * line_bytes));
-            }
-        }
-        // The MC is not held for the copy: it keeps issuing demand
-        // requests to devices that are not busy (Figure 7a, step 1);
-        // the migration's cost is the channel and device occupancy.
-        env.stats.record_swap_window(dram_written - now);
-        env.stage(Stage::Migration, mc, now, dram_written);
-        env.register_swap_pages(
-            mc,
-            req.dram_addr,
-            req.xpoint_addr,
-            dram_written,
-            demote_xfer,
-        );
-    } else {
-        // Via-controller: both legs are two full transfers each, and
-        // the MC is occupied for the duration (Hetero / Ohm-base).
-        let promote_read = {
-            let xp = env.mc(mc).xpoint.as_mut().expect("planar");
-            xp.read_page(now, req.xpoint_addr, lines).ready_at
-        };
-        let (_, up) = env.fabric.xfer(
-            promote_read,
-            mc,
-            page_bits,
-            TrafficClass::Migration,
-            DEV_XPOINT,
-        );
-        let (_, down) = env
-            .fabric
-            .xfer(up, mc, page_bits, TrafficClass::Migration, DEV_DRAM);
-        let dram_written = env.dram_page_op(down, mc, req.dram_addr, MemKind::Write);
-        let dram_read = env.dram_page_op(now, mc, req.dram_addr, MemKind::Read);
-        let (_, up2) = env
-            .fabric
-            .xfer(dram_read, mc, page_bits, TrafficClass::Migration, DEV_DRAM);
-        let (_, down2) = env
-            .fabric
-            .xfer(up2, mc, page_bits, TrafficClass::Migration, DEV_XPOINT);
-        let xp_written = {
-            let xp = env.mc(mc).xpoint.as_mut().expect("planar");
-            xp.write_page(down2, req.xpoint_addr, lines).ready_at
-        };
-        env.stats.record_swap_window(dram_written - now);
-        env.stage(Stage::Migration, mc, now, dram_written);
-        env.register_swap_pages(mc, req.dram_addr, req.xpoint_addr, dram_written, xp_written);
-    }
-    map.commit_swap(&req);
 }
 
 impl MemoryBackend for PlanarBackend {
@@ -467,7 +162,48 @@ impl MemoryBackend for PlanarBackend {
         la: Addr,
         kind: MemKind,
     ) -> Ps {
-        planar_service(&mut self.maps[mc], self.caps, env, now, mc, la, kind)
+        if let Some(req) = self.maps[mc].record_access(la) {
+            self.schedule_swap(env, now, mc, req);
+        }
+        match self.maps[mc].lookup(la) {
+            PlanarLocation::Dram(pa) => {
+                // While the page's swap is still in flight the data lives
+                // at its old XPoint location; serve from the stale copy
+                // rather than stalling (the remap commits at swap end).
+                if let Some(r) = env.mcs[mc].conflicts.redirect_dram(pa) {
+                    let paired = r.paired;
+                    env.stats.record_service(mc, false);
+                    let done = env.xpoint_line_rt(now, mc, paired, kind);
+                    if kind.is_read() {
+                        env.stats.record_xpoint_read_latency(done - now);
+                    }
+                    return done;
+                }
+                env.stats.record_service(mc, true);
+                let done = env.dram_line_rt(now, mc, pa, kind);
+                if kind.is_read() {
+                    env.stats.record_dram_read_latency(done - now);
+                }
+                done
+            }
+            PlanarLocation::XPoint(pa) => {
+                if let Some(r) = env.mcs[mc].conflicts.redirect_xpoint(pa) {
+                    let paired = r.paired;
+                    env.stats.record_service(mc, true);
+                    let done = env.dram_line_rt(now, mc, paired, kind);
+                    if kind.is_read() {
+                        env.stats.record_dram_read_latency(done - now);
+                    }
+                    return done;
+                }
+                env.stats.record_service(mc, false);
+                let done = env.xpoint_line_rt(now, mc, pa, kind);
+                if kind.is_read() {
+                    env.stats.record_xpoint_read_latency(done - now);
+                }
+                done
+            }
+        }
     }
 
     fn retire_xpoint_line(&mut self, mc: usize, xpoint_addr: Addr) {
@@ -491,15 +227,143 @@ impl MemoryBackend for PlanarBackend {
     fn state_bytes(&self) -> usize {
         self.maps.iter().map(|m| m.state_bytes()).sum()
     }
+}
 
-    fn split_mc(&mut self, counts: &[usize]) -> Option<Vec<BackendShard<'_>>> {
-        let caps = self.caps;
-        Some(
-            split_counts(&mut self.maps, counts)
-                .into_iter()
-                .map(|(maps, base)| BackendShard::Planar { maps, caps, base })
-                .collect(),
-        )
+impl PlanarBackend {
+    fn schedule_swap(&mut self, env: &mut MemEnv<'_>, now: Ps, mc: usize, req: SwapRequest) {
+        let page_bits = req.page_bytes * 8;
+        let lines = req.page_bytes / env.cfg.line_bytes;
+        env.stats.record_migration(mc);
+
+        if self.caps.swap {
+            // SWAP-CMD metadata on the data route; the copy itself rides
+            // the memory route under the XPoint controller's DDR sequence
+            // generator (Figures 10a and 11).
+            let (_, cmd_done) = env.fabric.xfer(
+                now,
+                mc,
+                SwapCmd::METADATA_BITS,
+                TrafficClass::Migration,
+                DEV_XPOINT,
+            );
+            let preset = env.mcs[mc].dram.preset_row(cmd_done, req.dram_addr);
+            let promote_read = {
+                let xp = env.mcs[mc].xpoint.as_mut().expect("planar");
+                xp.read_page(cmd_done, req.xpoint_addr, lines).ready_at
+            };
+            let (_, to_dram) = env
+                .fabric
+                .memory_route(promote_read.max(preset), mc, page_bits);
+            // The XPoint controller's DDR sequence generator drives the
+            // DRAM transactions directly (Figure 11, steps 3-4).
+            let dram_written = {
+                let m = &mut env.mcs[mc];
+                m.ddr_seq.execute_page(
+                    &mut m.dram,
+                    to_dram,
+                    req.dram_addr,
+                    req.page_bytes,
+                    MemKind::Write,
+                )
+            };
+            let dram_read = {
+                let m = &mut env.mcs[mc];
+                m.ddr_seq.execute_page(
+                    &mut m.dram,
+                    preset,
+                    req.dram_addr,
+                    req.page_bytes,
+                    MemKind::Read,
+                )
+            };
+            let (_, to_xp) = env.fabric.memory_route(dram_read, mc, page_bits);
+            let xp_written = {
+                let xp = env.mcs[mc].xpoint.as_mut().expect("planar");
+                xp.write_page(to_xp, req.xpoint_addr, lines).ready_at
+            };
+            env.stats.record_swap_window(dram_written - now);
+            env.stage(Stage::Migration, mc, now, dram_written);
+            env.register_swap_pages(mc, req.dram_addr, req.xpoint_addr, dram_written, xp_written);
+        } else if self.caps.auto_rw {
+            // Reads before writes: the XPoint controller prioritises
+            // latency-critical reads over buffered write drains, so the
+            // promote leg's page read is booked first.
+            //
+            // Promote leg runs through the controller: XP -> MC -> DRAM.
+            let promote_read = {
+                let xp = env.mcs[mc].xpoint.as_mut().expect("planar");
+                xp.read_page(now, req.xpoint_addr, lines).ready_at
+            };
+            let (_, up) = env.fabric.xfer(
+                promote_read,
+                mc,
+                page_bits,
+                TrafficClass::Migration,
+                DEV_XPOINT,
+            );
+            let (_, down) = env
+                .fabric
+                .xfer(up, mc, page_bits, TrafficClass::Migration, DEV_DRAM);
+            let dram_written = env.dram_page_op(down, mc, req.dram_addr, MemKind::Write);
+            // Demote leg: the MC reads the DRAM page over the data route;
+            // the XPoint controller snarfs it - no second transfer.
+            let dram_read = env.dram_page_op(now, mc, req.dram_addr, MemKind::Read);
+            let (_, demote_xfer) =
+                env.fabric
+                    .xfer(dram_read, mc, page_bits, TrafficClass::Migration, DEV_DRAM);
+            {
+                let line_bytes = env.cfg.line_bytes;
+                let xp = env.mcs[mc].xpoint.as_mut().expect("planar");
+                for i in 0..lines {
+                    xp.snarf_write(demote_xfer, req.xpoint_addr.offset(i * line_bytes));
+                }
+            }
+            // The MC is not held for the copy: it keeps issuing demand
+            // requests to devices that are not busy (Figure 7a, step 1);
+            // the migration's cost is the channel and device occupancy.
+            env.stats.record_swap_window(dram_written - now);
+            env.stage(Stage::Migration, mc, now, dram_written);
+            env.register_swap_pages(
+                mc,
+                req.dram_addr,
+                req.xpoint_addr,
+                dram_written,
+                demote_xfer,
+            );
+        } else {
+            // Via-controller: both legs are two full transfers each, and
+            // the MC is occupied for the duration (Hetero / Ohm-base).
+            let promote_read = {
+                let xp = env.mcs[mc].xpoint.as_mut().expect("planar");
+                xp.read_page(now, req.xpoint_addr, lines).ready_at
+            };
+            let (_, up) = env.fabric.xfer(
+                promote_read,
+                mc,
+                page_bits,
+                TrafficClass::Migration,
+                DEV_XPOINT,
+            );
+            let (_, down) = env
+                .fabric
+                .xfer(up, mc, page_bits, TrafficClass::Migration, DEV_DRAM);
+            let dram_written = env.dram_page_op(down, mc, req.dram_addr, MemKind::Write);
+            let dram_read = env.dram_page_op(now, mc, req.dram_addr, MemKind::Read);
+            let (_, up2) =
+                env.fabric
+                    .xfer(dram_read, mc, page_bits, TrafficClass::Migration, DEV_DRAM);
+            let (_, down2) =
+                env.fabric
+                    .xfer(up2, mc, page_bits, TrafficClass::Migration, DEV_XPOINT);
+            let xp_written = {
+                let xp = env.mcs[mc].xpoint.as_mut().expect("planar");
+                xp.write_page(down2, req.xpoint_addr, lines).ready_at
+            };
+            env.stats.record_swap_window(dram_written - now);
+            env.stage(Stage::Migration, mc, now, dram_written);
+            env.register_swap_pages(mc, req.dram_addr, req.xpoint_addr, dram_written, xp_written);
+        }
+        self.maps[mc].commit_swap(&req);
     }
 }
 
@@ -509,114 +373,6 @@ struct TwoLevelBackend {
     /// Per-controller tag/dirty state.
     caches: Vec<TwoLevelCache>,
     caps: MigrationCaps,
-}
-
-/// Services one two-level request at controller `mc` against that
-/// controller's tag state (shared by the whole backend and its shards).
-fn twolevel_service(
-    cache: &mut TwoLevelCache,
-    caps: MigrationCaps,
-    env: &mut MemEnv<'_>,
-    now: Ps,
-    mc: usize,
-    la: Addr,
-    kind: MemKind,
-) -> Ps {
-    let line_bits = env.cfg.line_bytes * 8;
-    let is_write = matches!(kind, MemKind::Write);
-    let span = cache.config().xpoint_bytes;
-    let la = Addr::new(la.get() % span);
-    match cache.access(la, is_write) {
-        TwoLevelOutcome::Hit { dram_addr } => {
-            env.stats.record_service(mc, true);
-            let stall = env
-                .mc(mc)
-                .conflicts
-                .stall_until(dram_addr)
-                .unwrap_or(Ps::ZERO);
-            if stall > now {
-                env.stats.record_conflict_stall(stall - now);
-            }
-            env.dram_line_rt(now.max(stall), mc, dram_addr, kind)
-        }
-        TwoLevelOutcome::Miss {
-            dram_addr,
-            xpoint_addr,
-            evict_to,
-        } => {
-            env.stats.record_service(mc, false);
-            env.stats.record_migration(mc);
-            // 1. Tag-check read: the MC always reads the DRAM line (tag
-            //    travels with data in the ECC bits).
-            let tag_read = env.dram_line_rt(now, mc, dram_addr, MemKind::Read);
-            // 2. Fetch the missing line from XPoint (demand-critical:
-            //    the read is booked before the victim's buffered write
-            //    so it is not queued behind a 763 ns drain). With
-            //    reverse write, the XPoint->DRAM fill transfer itself
-            //    delivers the data: the MC's DDR monitor snarfs the
-            //    memory-route burst (Figure 12), so nothing but the
-            //    command uses the data route.
-            let data_at_mc = if caps.reverse_write {
-                let (_, cmd_done) =
-                    env.fabric
-                        .xfer(tag_read, mc, CMD_BITS, TrafficClass::Demand, DEV_XPOINT);
-                let ready = {
-                    let xp = env.mc(mc).xpoint.as_mut().expect("two-level");
-                    xp.read(cmd_done, xpoint_addr).ready_at
-                };
-                env.mc(mc).ddr_monitor.arm(cmd_done, xpoint_addr);
-                let (fill_start, fill_done) = env.fabric.memory_route(ready, mc, line_bits);
-                let m = env.mc(mc);
-                m.ddr_monitor.begin_snarf(fill_start);
-                m.ddr_monitor.complete(fill_done);
-                m.dram.access(fill_done, dram_addr, MemKind::Write);
-                fill_done
-            } else {
-                env.xpoint_line_rt(tag_read, mc, xpoint_addr, MemKind::Read)
-            };
-            // 3. Dirty victim eviction.
-            if let Some(victim) = evict_to {
-                if caps.auto_rw {
-                    // The XPoint controller snarfed the tag-read burst
-                    // and takes over the eviction (Figure 9b).
-                    let xp = env.mc(mc).xpoint.as_mut().expect("two-level");
-                    xp.snarf_write(tag_read, victim);
-                } else {
-                    let (_, evict_xfer) = env.fabric.xfer(
-                        tag_read,
-                        mc,
-                        CMD_BITS + line_bits,
-                        TrafficClass::Migration,
-                        DEV_XPOINT,
-                    );
-                    let xp = env.mc(mc).xpoint.as_mut().expect("two-level");
-                    xp.write(evict_xfer, victim);
-                }
-            }
-            // 4. Fill the DRAM cacheline (reverse write already filled
-            //    it from the snarfed burst above).
-            if !caps.reverse_write {
-                let (_, fill_xfer) = env.fabric.xfer(
-                    data_at_mc,
-                    mc,
-                    CMD_BITS + line_bits,
-                    TrafficClass::Migration,
-                    DEV_DRAM,
-                );
-                env.mc(mc).dram.access(fill_xfer, dram_addr, MemKind::Write);
-            }
-            env.stage(Stage::Migration, mc, now, data_at_mc);
-            data_at_mc
-        }
-        TwoLevelOutcome::Bypass { xpoint_addr } => {
-            // Retired-backed line (or a slot pinned by one): served
-            // straight from the best-effort XPoint path, never filled
-            // into DRAM — a fill would strand the only durable copy
-            // on dead media at eviction time.
-            env.stats.record_service(mc, false);
-            env.xpoint_line_rt(now, mc, xpoint_addr, kind)
-        }
-    }
 }
 
 impl MemoryBackend for TwoLevelBackend {
@@ -629,7 +385,103 @@ impl MemoryBackend for TwoLevelBackend {
         la: Addr,
         kind: MemKind,
     ) -> Ps {
-        twolevel_service(&mut self.caches[mc], self.caps, env, now, mc, la, kind)
+        let line_bits = env.cfg.line_bytes * 8;
+        let is_write = matches!(kind, MemKind::Write);
+        let span = self.caches[mc].config().xpoint_bytes;
+        let la = Addr::new(la.get() % span);
+        match self.caches[mc].access(la, is_write) {
+            TwoLevelOutcome::Hit { dram_addr } => {
+                env.stats.record_service(mc, true);
+                let stall = env.mcs[mc]
+                    .conflicts
+                    .stall_until(dram_addr)
+                    .unwrap_or(Ps::ZERO);
+                if stall > now {
+                    env.stats.record_conflict_stall(stall - now);
+                }
+                env.dram_line_rt(now.max(stall), mc, dram_addr, kind)
+            }
+            TwoLevelOutcome::Miss {
+                dram_addr,
+                xpoint_addr,
+                evict_to,
+            } => {
+                env.stats.record_service(mc, false);
+                env.stats.record_migration(mc);
+                // 1. Tag-check read: the MC always reads the DRAM line (tag
+                //    travels with data in the ECC bits).
+                let tag_read = env.dram_line_rt(now, mc, dram_addr, MemKind::Read);
+                // 2. Fetch the missing line from XPoint (demand-critical:
+                //    the read is booked before the victim's buffered write
+                //    so it is not queued behind a 763 ns drain). With
+                //    reverse write, the XPoint->DRAM fill transfer itself
+                //    delivers the data: the MC's DDR monitor snarfs the
+                //    memory-route burst (Figure 12), so nothing but the
+                //    command uses the data route.
+                let data_at_mc = if self.caps.reverse_write {
+                    let (_, cmd_done) =
+                        env.fabric
+                            .xfer(tag_read, mc, CMD_BITS, TrafficClass::Demand, DEV_XPOINT);
+                    let ready = {
+                        let xp = env.mcs[mc].xpoint.as_mut().expect("two-level");
+                        xp.read(cmd_done, xpoint_addr).ready_at
+                    };
+                    env.mcs[mc].ddr_monitor.arm(cmd_done, xpoint_addr);
+                    let (fill_start, fill_done) = env.fabric.memory_route(ready, mc, line_bits);
+                    env.mcs[mc].ddr_monitor.begin_snarf(fill_start);
+                    env.mcs[mc].ddr_monitor.complete(fill_done);
+                    env.mcs[mc]
+                        .dram
+                        .access(fill_done, dram_addr, MemKind::Write);
+                    fill_done
+                } else {
+                    env.xpoint_line_rt(tag_read, mc, xpoint_addr, MemKind::Read)
+                };
+                // 3. Dirty victim eviction.
+                if let Some(victim) = evict_to {
+                    if self.caps.auto_rw {
+                        // The XPoint controller snarfed the tag-read burst
+                        // and takes over the eviction (Figure 9b).
+                        let xp = env.mcs[mc].xpoint.as_mut().expect("two-level");
+                        xp.snarf_write(tag_read, victim);
+                    } else {
+                        let (_, evict_xfer) = env.fabric.xfer(
+                            tag_read,
+                            mc,
+                            CMD_BITS + line_bits,
+                            TrafficClass::Migration,
+                            DEV_XPOINT,
+                        );
+                        let xp = env.mcs[mc].xpoint.as_mut().expect("two-level");
+                        xp.write(evict_xfer, victim);
+                    }
+                }
+                // 4. Fill the DRAM cacheline (reverse write already filled
+                //    it from the snarfed burst above).
+                if !self.caps.reverse_write {
+                    let (_, fill_xfer) = env.fabric.xfer(
+                        data_at_mc,
+                        mc,
+                        CMD_BITS + line_bits,
+                        TrafficClass::Migration,
+                        DEV_DRAM,
+                    );
+                    env.mcs[mc]
+                        .dram
+                        .access(fill_xfer, dram_addr, MemKind::Write);
+                }
+                env.stage(Stage::Migration, mc, now, data_at_mc);
+                data_at_mc
+            }
+            TwoLevelOutcome::Bypass { xpoint_addr } => {
+                // Retired-backed line (or a slot pinned by one): served
+                // straight from the best-effort XPoint path, never filled
+                // into DRAM — a fill would strand the only durable copy
+                // on dead media at eviction time.
+                env.stats.record_service(mc, false);
+                env.xpoint_line_rt(now, mc, xpoint_addr, kind)
+            }
+        }
     }
 
     fn retire_xpoint_line(&mut self, mc: usize, xpoint_addr: Addr) {
@@ -657,15 +509,5 @@ impl MemoryBackend for TwoLevelBackend {
 
     fn state_bytes(&self) -> usize {
         self.caches.iter().map(|c| c.state_bytes()).sum()
-    }
-
-    fn split_mc(&mut self, counts: &[usize]) -> Option<Vec<BackendShard<'_>>> {
-        let caps = self.caps;
-        Some(
-            split_counts(&mut self.caches, counts)
-                .into_iter()
-                .map(|(caches, base)| BackendShard::TwoLevel { caches, caps, base })
-                .collect(),
-        )
     }
 }

@@ -16,6 +16,14 @@ use std::net::TcpStream;
 /// while bounding what a hostile client can make the server buffer.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Longest request line or header line accepted, in bytes, line
+/// terminator included. Reads stop here, so a client that never sends a
+/// newline cannot make the server buffer more than this.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 100;
+
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -37,6 +45,9 @@ pub enum HttpError {
     Bad(String),
     /// The declared `Content-Length` exceeds [`MAX_BODY_BYTES`].
     TooLarge,
+    /// A request or header line exceeds [`MAX_LINE_BYTES`], or the
+    /// request carries more than [`MAX_HEADERS`] headers.
+    HeadTooLarge,
 }
 
 impl From<std::io::Error> for HttpError {
@@ -51,8 +62,25 @@ impl std::fmt::Display for HttpError {
             HttpError::Io(e) => write!(f, "socket error: {e}"),
             HttpError::Bad(why) => write!(f, "malformed request: {why}"),
             HttpError::TooLarge => write!(f, "request body exceeds {MAX_BODY_BYTES} bytes"),
+            HttpError::HeadTooLarge => write!(
+                f,
+                "request line or header exceeds {MAX_LINE_BYTES} bytes, \
+                 or more than {MAX_HEADERS} headers"
+            ),
         }
     }
+}
+
+/// Reads one line of the request head, at most [`MAX_LINE_BYTES`] of it.
+fn read_head_line(reader: &mut impl BufRead) -> Result<String, HttpError> {
+    let mut buf = Vec::new();
+    reader
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', &mut buf)?;
+    if buf.len() >= MAX_LINE_BYTES && !buf.ends_with(b"\n") {
+        return Err(HttpError::HeadTooLarge);
+    }
+    String::from_utf8(buf).map_err(|_| HttpError::Bad("request head is not UTF-8".to_string()))
 }
 
 /// Reads one HTTP/1.1 request off `stream`: request line, headers (only
@@ -60,13 +88,14 @@ impl std::fmt::Display for HttpError {
 ///
 /// # Errors
 ///
-/// [`HttpError::Bad`] on a malformed request line, header, or non-UTF-8
-/// body; [`HttpError::TooLarge`] when the declared body exceeds
+/// [`HttpError::Bad`] on a malformed or non-UTF-8 request line, header,
+/// or body; [`HttpError::HeadTooLarge`] when a line exceeds
+/// [`MAX_LINE_BYTES`] or the headers exceed [`MAX_HEADERS`];
+/// [`HttpError::TooLarge`] when the declared body exceeds
 /// [`MAX_BODY_BYTES`]; [`HttpError::Io`] when the socket fails.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let line = read_head_line(&mut reader)?;
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -81,12 +110,16 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let path = target.split('?').next().unwrap_or(target).to_string();
 
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
+        let header = read_head_line(&mut reader)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(HttpError::HeadTooLarge);
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(HttpError::Bad(format!("bad header {header:?}")));
@@ -116,6 +149,7 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         _ => "Unknown",
     }
@@ -170,7 +204,9 @@ mod tests {
         let raw = raw.to_string();
         let writer = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(raw.as_bytes()).unwrap();
+            // The server may stop reading (and close) before an
+            // oversized request is fully written.
+            let _ = s.write_all(raw.as_bytes());
         });
         let (mut conn, _) = listener.accept().unwrap();
         let req = read_request(&mut conn);
@@ -212,5 +248,28 @@ mod tests {
             )),
             Err(HttpError::TooLarge)
         ));
+    }
+
+    #[test]
+    fn rejects_an_unbounded_request_line() {
+        let line = "A".repeat(1 << 20);
+        assert!(matches!(parse(&line), Err(HttpError::HeadTooLarge)));
+    }
+
+    #[test]
+    fn rejects_too_many_headers() {
+        let mut raw = String::from("GET /stats HTTP/1.1\r\n");
+        for i in 0..1_000 {
+            raw.push_str(&format!("X-Filler-{i}: x\r\n"));
+        }
+        raw.push_str("\r\n");
+        assert!(matches!(parse(&raw), Err(HttpError::HeadTooLarge)));
+        // The cap itself is accepted.
+        let mut raw = String::from("GET /stats HTTP/1.1\r\n");
+        for i in 0..MAX_HEADERS {
+            raw.push_str(&format!("X-Filler-{i}: x\r\n"));
+        }
+        raw.push_str("\r\n");
+        assert_eq!(parse(&raw).unwrap().path, "/stats");
     }
 }

@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 
 use ohm_core::checkpoint::FsyncPolicy;
 use ohm_core::json::escape_json;
-use ohm_core::par::{budget_cell_threads, default_threads};
+use ohm_core::par::default_threads;
 
 use crate::cache::{Claim, ResultCache};
 use crate::http::{read_request, write_response, write_stream_header, HttpError, Request};
@@ -44,11 +44,6 @@ use crate::pool::WorkerPool;
 pub struct ServeOptions {
     /// Worker threads in the cell pool (default: all cores).
     pub workers: usize,
-    /// Requested intra-cell event-loop threads per simulation; the
-    /// effective value is re-budgeted against `workers` via
-    /// [`budget_cell_threads`] so the pool never oversubscribes the
-    /// machine.
-    pub cell_threads: usize,
     /// Durability policy for the result journal and the jobs log.
     /// Daemons default to [`FsyncPolicy::Always`]: the cache outlives
     /// any one process, so a host crash should lose at most the record
@@ -60,7 +55,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             workers: default_threads(),
-            cell_threads: 1,
             fsync: FsyncPolicy::Always,
         }
     }
@@ -74,7 +68,6 @@ struct Shared {
     cache: ResultCache<Ticket>,
     pool: WorkerPool,
     jobs: Mutex<JobTable>,
-    cell_threads: usize,
     quarantined: AtomicU64,
     stopping: AtomicBool,
 }
@@ -148,7 +141,6 @@ impl Server {
                 fsync: opts.fsync,
                 next_seq,
             }),
-            cell_threads: budget_cell_threads(opts.workers, opts.cell_threads),
             quarantined: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
         });
@@ -287,10 +279,8 @@ fn run_cell(shared: &Arc<Shared>, job: &Arc<Job>, index: usize) {
         Claim::Parked => {}
         Claim::Owner => {
             let cell = job.spec.cells().swap_remove(index);
-            let cell_threads = shared.cell_threads;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cell.run().cell_threads(cell_threads).execute()
-            }));
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cell.run().execute()));
             match result {
                 Ok(report) => {
                     let (parked, appended) = shared.cache.complete(key, &report);
@@ -359,6 +349,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         Ok(req) => req,
         Err(HttpError::TooLarge) => {
             let _ = write_response(&mut stream, 413, "text/plain", "body too large\n");
+            return;
+        }
+        Err(e @ HttpError::HeadTooLarge) => {
+            let _ = write_response(&mut stream, 431, "text/plain", &format!("{e}\n"));
             return;
         }
         Err(HttpError::Bad(why)) => {
@@ -462,12 +456,11 @@ fn stats_json(shared: &Shared) -> String {
         (t + 1, d + u64::from(finished))
     });
     format!(
-        "{{\"workers\":{},\"busy\":{},\"cell_threads\":{},\"jobs\":{total},\"jobs_done\":{done},\
+        "{{\"workers\":{},\"busy\":{},\"jobs\":{total},\"jobs_done\":{done},\
          \"quarantined\":{},\"cache\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"coalesced\":{},\
          \"recovered\":{},\"truncated_bytes\":{}}}}}",
         shared.pool.workers(),
         shared.pool.busy(),
-        shared.cell_threads,
         shared.quarantined.load(Ordering::Relaxed),
         shared.cache.len(),
         cache.hits,
