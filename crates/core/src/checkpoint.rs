@@ -453,15 +453,17 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a over `bytes` — the 64-bit content hash behind [`cell_key`]
 /// and [`report_digest`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
 /// The canonical content form of one grid cell — the single string
@@ -569,12 +571,16 @@ pub fn report_digest(report: &SimReport) -> u64 {
 /// Order-sensitive digest of a whole grid (rows of reports) — the
 /// golden assertion that a resumed sweep equals an uninterrupted one.
 pub fn grid_digest<'a>(rows: impl IntoIterator<Item = &'a SimReport>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for r in rows {
-        let d = report_digest(r);
-        h = (h ^ d).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fold_digests(rows.into_iter().map(report_digest))
+}
+
+/// Folds per-cell [`report_digest`]s, in cell order, into the grid
+/// digest [`grid_digest`] computes from the reports themselves — for
+/// callers that keep digests rather than whole reports.
+pub fn fold_digests(digests: impl IntoIterator<Item = u64>) -> u64 {
+    digests
+        .into_iter()
+        .fold(FNV_OFFSET, |h, d| (h ^ d).wrapping_mul(FNV_PRIME))
 }
 
 // ---------------------------------------------------------------------
@@ -1456,5 +1462,11 @@ mod tests {
         let (a, b) = (full_report(), bare_report());
         assert_ne!(grid_digest([&a, &b]), grid_digest([&b, &a]));
         assert_eq!(grid_digest([&a, &b]), grid_digest([&a, &b.clone()]));
+        // Folding kept digests gives the digest of the reports.
+        assert_eq!(
+            grid_digest([&a, &b]),
+            fold_digests([report_digest(&a), report_digest(&b)])
+        );
+        assert_eq!(grid_digest([]), fnv1a(b""));
     }
 }

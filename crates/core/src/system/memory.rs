@@ -217,19 +217,60 @@ impl MemEnv<'_> {
     }
 }
 
+/// Smallest table size at which a [`FillTable`] prunes expired fills.
+const MIN_PRUNE_AT: usize = 1024;
+
+/// One controller's completion times of in-flight line fills (MSHR
+/// merging), keyed by line index, so the seedless [`FastMap`] hasher is
+/// safe and shaves SipHash off the per-read path.
+///
+/// A fill that completed at or before the current event time can never
+/// merge again: every later read is at or after that time and would
+/// drop it as expired. Such fills are pruned whenever the table doubles
+/// past its post-prune size, which bounds it by the fills in flight.
+struct FillTable {
+    fills: FastMap<u64, Ps>,
+    /// Size at which the next prune runs.
+    prune_at: usize,
+}
+
+impl FillTable {
+    fn new() -> Self {
+        FillTable {
+            fills: FastMap::default(),
+            prune_at: MIN_PRUNE_AT,
+        }
+    }
+
+    /// Records the fill of `line` completing at `done`; prunes fills that
+    /// completed at or before `event_time` once the table has doubled.
+    fn insert(&mut self, line: u64, done: Ps, event_time: Ps) {
+        self.fills.insert(line, done);
+        if self.fills.len() >= self.prune_at {
+            self.fills.retain(|_, &mut d| d > event_time);
+            self.prune_at = (2 * self.fills.len()).max(MIN_PRUNE_AT);
+        }
+    }
+
+    /// Approximate heap bytes: one key, one value and one control byte
+    /// per bucket of capacity.
+    fn heap_bytes(&self) -> usize {
+        self.fills.capacity() * (std::mem::size_of::<(u64, Ps)>() + 1)
+    }
+}
+
 /// The assembled memory side of a platform: controllers, fabric, and the
 /// platform/mode-specific [`MemoryBackend`].
 pub(crate) struct MemorySubsystem {
     pub(crate) mcs: Vec<MemoryController>,
     pub(crate) fabric: Box<dyn Fabric + Send>,
     pub(crate) backend: Box<dyn MemoryBackend + Send>,
-    /// Per-controller completion times of in-flight line fills (MSHR
-    /// merging). A line maps to exactly one controller, so per-controller
-    /// tables hold the same entries as one shared table; keeping them
-    /// apart keeps each rehash small (one shared table doubled peak RSS
-    /// on the fig16 planar grid). Keyed by line index, so the seedless [`FastMap`] hasher is safe
-    /// and shaves SipHash off the per-read path.
-    in_flight: Vec<FastMap<u64, Ps>>,
+    /// Per-controller in-flight line fills (MSHR merging). A line maps
+    /// to exactly one controller, so per-controller tables hold the same
+    /// entries as one shared table; keeping them apart keeps each rehash
+    /// small (one shared table doubled peak RSS on the fig16 planar
+    /// grid).
+    in_flight: Vec<FillTable>,
     /// Migration releases awaiting transfer onto the event queue.
     pending: Vec<PendingRelease>,
     /// Reusable buffer for stage intervals batched during one request.
@@ -343,7 +384,7 @@ impl MemorySubsystem {
             mcs,
             fabric,
             backend,
-            in_flight: (0..controllers).map(|_| FastMap::default()).collect(),
+            in_flight: (0..controllers).map(|_| FillTable::new()).collect(),
             pending: Vec::new(),
             stage_batch: Vec::new(),
             recovery_scratch: Vec::new(),
@@ -367,21 +408,25 @@ impl MemorySubsystem {
     }
 
     /// A demand read reaching memory controller `mc`; returns when data
-    /// is back at the controller.
+    /// is back at the controller. `event_time` is the time of the event
+    /// being stepped: no later read starts before it, so fills completed
+    /// by then are dead for good.
     pub(crate) fn read(
         &mut self,
         cfg: &SystemConfig,
         stats: &mut dyn StatsSink,
+        event_time: Ps,
         now: Ps,
         mc: usize,
         addr: Addr,
     ) -> Ps {
+        debug_assert!(now >= event_time, "read issued before its event");
         let line = addr.block_index(cfg.line_bytes);
-        if let Some(&done) = self.in_flight[mc].get(&line) {
+        if let Some(&done) = self.in_flight[mc].fills.get(&line) {
             if done > now {
                 return done; // MSHR merge with the outstanding fill
             }
-            self.in_flight[mc].remove(&line);
+            self.in_flight[mc].fills.remove(&line);
         }
         stats.record_mem_request(now, cfg.line_bytes);
         // MSHR file: a full set of outstanding misses delays this one
@@ -410,7 +455,7 @@ impl MemorySubsystem {
         let done = self.service(cfg, stats, t0, mc, addr, MemKind::Read);
         self.mcs[mc].outstanding.push(Reverse(done.as_ps()));
         stats.record_mem_latency(done - now);
-        self.in_flight[mc].insert(line, done);
+        self.in_flight[mc].insert(line, done, event_time);
         done
     }
 
@@ -506,12 +551,13 @@ impl MemorySubsystem {
         self.backend.host_report()
     }
 
-    /// Heap bytes held by footprint-proportional-looking metadata across
-    /// the subsystem: the policy backend's planner state plus every
-    /// XPoint controller's wear-tracking map. All of it is sparse, so
-    /// the result scales with pages/buckets actually touched — the
+    /// Heap bytes held by metadata that could grow with the footprint or
+    /// the run: the policy backend's planner state, every XPoint
+    /// controller's wear-tracking map, and the MSHR fill tables. The
+    /// first two are sparse, so they scale with pages/buckets actually
+    /// touched; the fill tables scale with fills in flight. The
     /// bounded-memory tier-1 test asserts this stays flat as the
-    /// simulated footprint grows.
+    /// simulated footprint and the instruction budget grow.
     pub(crate) fn state_bytes(&self) -> usize {
         let wear: usize = self
             .mcs
@@ -519,6 +565,7 @@ impl MemorySubsystem {
             .filter_map(|mc| mc.xpoint.as_ref())
             .map(|xp| xp.wear_map().state_bytes())
             .sum();
-        self.backend.state_bytes() + wear
+        let fills: usize = self.in_flight.iter().map(FillTable::heap_bytes).sum();
+        self.backend.state_bytes() + wear + fills
     }
 }

@@ -245,7 +245,7 @@ impl System {
                 addr,
                 kind,
             } => {
-                let resume_at = self.memory_access(after_compute, w, addr, kind);
+                let resume_at = self.memory_access(now, after_compute, w, addr, kind);
                 // Migrations triggered by this access schedule their
                 // completions before the warp's resume — the same queue
                 // insertion order as resolving them inline, which FIFO
@@ -260,8 +260,16 @@ impl System {
         }
     }
 
-    /// Resolves one warp memory access, returning when the warp resumes.
-    fn memory_access(&mut self, now: Ps, w: WarpId, addr: Addr, kind: AccessKind) -> Ps {
+    /// Resolves one warp memory access issued at `now` by the event
+    /// stepped at `event_time`, returning when the warp resumes.
+    fn memory_access(
+        &mut self,
+        event_time: Ps,
+        now: Ps,
+        w: WarpId,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> Ps {
         let line_addr = addr.align_down(self.cfg.line_bytes);
         let one_cycle = self.cfg.gpu.sm.freq.period();
 
@@ -297,9 +305,14 @@ impl System {
 
         // L2 miss: go to memory (loads block; stores write through the fill).
         if kind.is_load() {
-            let data_at_mc = self
-                .mem
-                .read(&self.cfg, &mut self.stats, l2_done, mc, line_addr);
+            let data_at_mc = self.mem.read(
+                &self.cfg,
+                &mut self.stats,
+                event_time,
+                l2_done,
+                mc,
+                line_addr,
+            );
             self.xbar.traverse(data_at_mc, mc, self.cfg.line_bytes)
         } else {
             self.mem

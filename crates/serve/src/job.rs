@@ -19,7 +19,7 @@
 
 use std::sync::{Condvar, Mutex};
 
-use ohm_core::checkpoint::{grid_digest, report_digest, CellSpec};
+use ohm_core::checkpoint::{fold_digests, report_digest, CellSpec};
 use ohm_core::json::{escape_json, parse_json, JsonValue};
 use ohm_core::{OperationalMode, Platform, SimReport, SystemConfig};
 use ohm_workloads::{workload_by_name, WorkloadSpec};
@@ -216,7 +216,10 @@ impl CellResolution {
 
 /// Mutable progress of one job.
 struct Progress {
-    reports: Vec<Option<SimReport>>,
+    /// Each resolved cell's [`report_digest`] (`None` while pending or
+    /// when quarantined) — all the job digest needs, without holding
+    /// whole reports.
+    digests: Vec<Option<u64>>,
     resolved: usize,
     quarantined: u64,
     events: Vec<String>,
@@ -263,7 +266,7 @@ impl Job {
             spec,
             keys,
             progress: Mutex::new(Progress {
-                reports: vec![None; total],
+                digests: vec![None; total],
                 resolved: 0,
                 quarantined: 0,
                 events: Vec::new(),
@@ -276,7 +279,8 @@ impl Job {
 
     /// Records cell `index` as resolved, appends its event line, and —
     /// when it was the last cell — finalizes the job: the digest is
-    /// [`grid_digest`] over the reports in cell order (defined only
+    /// [`grid_digest`](ohm_core::checkpoint::grid_digest) over the
+    /// reports in cell order, folded from their digests (defined only
     /// when no cell is quarantined), and a terminal `done` line closes
     /// every event stream. Returns `true` exactly once per job — for
     /// the call that resolved the final cell — so the caller can take
@@ -288,27 +292,27 @@ impl Job {
         resolution: CellResolution,
         report: Option<&SimReport>,
     ) -> bool {
-        let cell = &self.spec.cells()[index];
+        let cols = self.spec.platforms.len();
         let mut line = format!(
             "{{\"cell\":{index},\"key\":\"{:016x}\",\"platform\":\"{}\",\"workload\":\"{}\",\"outcome\":\"{}\"",
             self.keys[index],
-            escape_json(cell.platform.name()),
-            escape_json(cell.workload.name),
+            escape_json(self.spec.platforms[index % cols].name()),
+            escape_json(self.spec.workloads[index / cols].name),
             resolution.name(),
         );
-        if let Some(r) = report {
+        let digest = report.map(report_digest);
+        if let (Some(r), Some(d)) = (report, digest) {
             line.push_str(&format!(
-                ",\"ipc\":{},\"makespan_ps\":{},\"report_digest\":\"{:016x}\"",
+                ",\"ipc\":{},\"makespan_ps\":{},\"report_digest\":\"{d:016x}\"",
                 json_f64(r.ipc),
                 r.makespan.as_ps(),
-                report_digest(r)
             ));
         }
         line.push('}');
 
         let mut p = self.progress.lock().expect("job lock");
-        debug_assert!(p.reports[index].is_none(), "cell resolved twice");
-        p.reports[index] = report.cloned();
+        debug_assert!(p.digests[index].is_none(), "cell resolved twice");
+        p.digests[index] = digest;
         p.resolved += 1;
         if resolution == CellResolution::Quarantined {
             p.quarantined += 1;
@@ -317,7 +321,7 @@ impl Job {
         let finished = p.resolved == self.spec.total();
         if finished {
             p.digest = (p.quarantined == 0)
-                .then(|| grid_digest(p.reports.iter().map(|r| r.as_ref().expect("all resolved"))));
+                .then(|| fold_digests(p.digests.iter().map(|d| d.expect("all resolved"))));
             p.done = true;
             let digest = match p.digest {
                 Some(d) => format!("\"{d:016x}\""),
@@ -381,7 +385,7 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ohm_core::checkpoint::cell_key;
+    use ohm_core::checkpoint::{cell_key, grid_digest};
 
     fn smoke_body() -> &'static str {
         r#"{

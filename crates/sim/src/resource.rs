@@ -41,8 +41,10 @@ const MAX_GAPS: usize = 64;
 pub struct Calendar {
     /// Free time after the last scheduled interval.
     next_free: Ps,
-    /// Idle gaps `[start, end)` before `next_free`, oldest first, stored
-    /// as a ring: `gaps_head` indexes the oldest live entry and
+    /// Idle gaps `[start, end)` before `next_free`, oldest first —
+    /// disjoint and sorted by both start and end, which is what lets
+    /// [`Calendar::book`] binary-search them. Stored as a ring:
+    /// `gaps_head` indexes the oldest live entry and
     /// `gaps_len` counts live entries. An inline ring makes both the
     /// hot-path append and the oldest-gap eviction O(1) with no heap
     /// traffic (`MAX_GAPS` is a power of two, so indices wrap by mask).
@@ -107,33 +109,33 @@ impl Calendar {
             return (ready, end);
         }
 
-        // Gap end times are non-decreasing along the list (tail appends
-        // start at the previous `next_free`; splits only shrink a gap in
-        // place), so the last gap's end bounds every gap's end. A booking
-        // that cannot fit before that bound can never backfill — skip
-        // the scan outright. This makes the tight same-calendar booking
-        // chains of page operations (swaps book 32 lines back-to-back)
-        // O(1) per line instead of a full stale-gap scan.
-        let can_backfill = self.gaps_len > 0 && ready + dur <= self.gap(self.gaps_len - 1).1;
-        if can_backfill {
-            // Backfill the earliest fitting gap, editing the split in
-            // place (only the both-sides-remain split grows the list).
-            for i in 0..self.gaps_len {
-                let (gs, ge) = self.gap(i);
-                let start = ready.max(gs);
-                let end = start + dur;
-                if end <= ge {
-                    match (start > gs, end < ge) {
-                        (false, false) => self.remove_gap(i),
-                        (false, true) => self.set_gap(i, (end, ge)),
-                        (true, false) => self.set_gap(i, (gs, start)),
-                        (true, true) => {
-                            self.set_gap(i, (gs, start));
-                            self.split_gap(i, (end, ge));
-                        }
+        // Live gaps are disjoint and sorted by both start and end: tail
+        // appends start at the previous `next_free`, a split inserts its
+        // right half directly after the left half, and removals and
+        // in-place shrinks keep the order. So no gap before the first one
+        // ending at or after `ready + dur` can fit; binary-search for it
+        // and scan on from there. The earliest fitting gap is the same
+        // one a full linear scan picks, and a booking that overruns the
+        // last gap's end (the tight same-calendar chains of page
+        // operations, where swaps book 32 lines back-to-back) skips the
+        // scan outright.
+        let need = ready + dur;
+        let first = self.first_gap_ending_at_or_after(need);
+        for i in first..self.gaps_len {
+            let (gs, ge) = self.gap(i);
+            let start = ready.max(gs);
+            let end = start + dur;
+            if end <= ge {
+                match (start > gs, end < ge) {
+                    (false, false) => self.remove_gap(i),
+                    (false, true) => self.set_gap(i, (end, ge)),
+                    (true, false) => self.set_gap(i, (gs, start)),
+                    (true, true) => {
+                        self.set_gap(i, (gs, start));
+                        self.split_gap(i, (end, ge));
                     }
-                    return (start, end);
                 }
+                return (start, end);
             }
         }
 
@@ -145,6 +147,27 @@ impl Calendar {
         let end = start + dur;
         self.next_free = end;
         (start, end)
+    }
+
+    /// Index of the first live gap whose end is at or after `t`
+    /// (`gaps_len` if none), by binary search over the sorted gap ends.
+    /// The last gap is checked first, so a booking past every gap costs
+    /// one probe.
+    #[inline]
+    fn first_gap_ending_at_or_after(&self, t: Ps) -> u32 {
+        if self.gaps_len == 0 || self.gap(self.gaps_len - 1).1 < t {
+            return self.gaps_len;
+        }
+        let (mut lo, mut hi) = (0, self.gaps_len - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.gap(mid).1 < t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Appends a gap, forgetting the oldest one once the bound is hit.

@@ -60,6 +60,92 @@ fn calendar_never_double_books() {
     }
 }
 
+/// Reference calendar for the oracle test: the same booking rules as
+/// [`Calendar`], written the obvious way — a plain `Vec` of gaps, a
+/// linear earliest-fit scan, and oldest-first eviction past 64 gaps.
+struct RefCalendar {
+    next_free: u64,
+    gaps: Vec<(u64, u64)>,
+    evictions: u64,
+}
+
+impl RefCalendar {
+    const MAX_GAPS: usize = 64;
+
+    fn new() -> Self {
+        RefCalendar {
+            next_free: 0,
+            gaps: Vec::new(),
+            evictions: 0,
+        }
+    }
+
+    fn trim(&mut self) {
+        if self.gaps.len() > Self::MAX_GAPS {
+            self.gaps.remove(0);
+            self.evictions += 1;
+        }
+    }
+
+    fn book(&mut self, ready: u64, dur: u64) -> (u64, u64) {
+        for i in 0..self.gaps.len() {
+            let (gs, ge) = self.gaps[i];
+            let start = ready.max(gs);
+            let end = start + dur;
+            if end <= ge {
+                self.gaps.remove(i);
+                if end < ge {
+                    self.gaps.insert(i, (end, ge));
+                }
+                if start > gs {
+                    self.gaps.insert(i, (gs, start));
+                }
+                self.trim();
+                return (start, end);
+            }
+        }
+        let start = ready.max(self.next_free);
+        if start > self.next_free {
+            self.gaps.push((self.next_free, start));
+            self.trim();
+        }
+        self.next_free = start + dur;
+        (start, start + dur)
+    }
+}
+
+/// The calendar's gap search picks exactly the gap a linear earliest-fit
+/// scan picks, through full-ring splits and oldest-first evictions.
+#[test]
+fn calendar_matches_linear_scan_oracle() {
+    let mut rng = SplitMix64::new(0x0_5CA1);
+    let mut evictions = 0;
+    for _case in 0..64 {
+        let n = 65 + rng.next_below(1_000) as usize;
+        let mut cal = Calendar::new();
+        let mut oracle = RefCalendar::new();
+        for k in 0..n {
+            // Mostly backfill candidates behind the tail, with regular
+            // jumps past it that leave fresh gaps to fill.
+            let ready = match rng.next_below(4) {
+                0 => oracle.next_free + rng.next_below(2_000),
+                _ => oracle.next_free.saturating_sub(rng.next_below(20_000)),
+            };
+            let dur = 1 + rng.next_below(300);
+            let got = cal.book(Ps::from_ps(ready), Ps::from_ps(dur));
+            let want = oracle.book(ready, dur);
+            assert_eq!(
+                (got.0.as_ps(), got.1.as_ps()),
+                want,
+                "booking {k}: ready {ready}, dur {dur}"
+            );
+            assert_eq!(cal.next_free().as_ps(), oracle.next_free);
+        }
+        evictions += oracle.evictions;
+    }
+    assert!(evictions > 0, "sequences never filled the 64-gap ring");
+}
+
 /// Tagged busy times always sum to the calendar's total busy time.
 #[test]
 fn tagged_calendar_tags_partition_busy() {

@@ -4,7 +4,8 @@
 //! configured footprint. These tests drive the same workload at 256 MiB
 //! and at 16 GiB and assert the 16 GiB cell both completes and holds
 //! O(touched) planner state, i.e. tens-of-GiB address spaces simulate in
-//! bounded host memory.
+//! bounded host memory. The MSHR fill tables hold only fills in flight,
+//! so the state does not grow with the run's length either.
 
 use ohm_gpu::core::config::SystemConfig;
 use ohm_gpu::core::system::System;
@@ -15,10 +16,15 @@ use ohm_gpu::workloads::workload_by_name;
 const MIB_256: u64 = 256 << 20;
 const GIB_16: u64 = 16 << 30;
 
-/// Runs one cell and returns (instructions retired, planner state bytes).
-fn run_cell(platform: Platform, mode: OperationalMode, footprint: u64) -> (u64, usize) {
+/// Runs one cell and returns (instructions retired, memory state bytes).
+fn run_cell(
+    platform: Platform,
+    mode: OperationalMode,
+    footprint: u64,
+    insts_per_warp: u64,
+) -> (u64, usize) {
     let mut cfg = SystemConfig::quick_test();
-    cfg.insts_per_warp = 300;
+    cfg.insts_per_warp = insts_per_warp;
     let spec = workload_by_name("pagerank")
         .unwrap()
         .with_footprint(footprint);
@@ -30,8 +36,8 @@ fn run_cell(platform: Platform, mode: OperationalMode, footprint: u64) -> (u64, 
 #[test]
 fn sixteen_gib_footprint_completes_in_bounded_state() {
     for mode in [OperationalMode::Planar, OperationalMode::TwoLevel] {
-        let (small_insts, small_state) = run_cell(Platform::OhmBase, mode, MIB_256);
-        let (huge_insts, huge_state) = run_cell(Platform::OhmBase, mode, GIB_16);
+        let (small_insts, small_state) = run_cell(Platform::OhmBase, mode, MIB_256, 300);
+        let (huge_insts, huge_state) = run_cell(Platform::OhmBase, mode, GIB_16, 300);
         // Both cells retire the full instruction budget.
         assert_eq!(small_insts, huge_insts, "{mode:?}");
         // The footprint grew 64x but the planner state tracks the
@@ -57,7 +63,28 @@ fn sixteen_gib_footprint_completes_in_bounded_state() {
 fn origin_platform_handles_huge_footprints() {
     // Origin's resident-set bookkeeping is lazy as well: the DRAM share
     // of a 16 GiB footprint must not be materialized up front.
-    let (insts, state) = run_cell(Platform::Origin, OperationalMode::Planar, GIB_16);
+    let (insts, state) = run_cell(Platform::Origin, OperationalMode::Planar, GIB_16, 300);
     assert!(insts > 0);
     assert!(state < 8 << 20, "{state} planner bytes");
+}
+
+#[test]
+fn state_does_not_grow_with_run_length() {
+    // The MSHR fill tables hold fills in flight, not every line ever
+    // read, so doubling the run does not double the state. Two-level's
+    // planner state has saturated at this footprint, so there the whole
+    // state must stay nearly flat; a fill table that kept every line
+    // would grow it by about a third.
+    for (mode, max_growth) in [
+        (OperationalMode::Planar, 2.0),
+        (OperationalMode::TwoLevel, 1.15),
+    ] {
+        let (short_insts, short_state) = run_cell(Platform::OhmBase, mode, MIB_256, 1200);
+        let (long_insts, long_state) = run_cell(Platform::OhmBase, mode, MIB_256, 2400);
+        assert_eq!(long_insts, 2 * short_insts, "{mode:?}");
+        assert!(
+            (long_state as f64) < short_state as f64 * max_growth,
+            "{mode:?}: {long_state} state bytes after 2x the run vs {short_state}"
+        );
+    }
 }
