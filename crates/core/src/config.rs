@@ -6,6 +6,7 @@
 //! al.]). The footprint : DRAM : XPoint ratios are what the experiments
 //! depend on, and those are preserved at every scale.
 
+use ohm_hetero::{PlanarMapping, TwoLevelCache};
 use ohm_mem::dram::{DramConfig, DramTiming};
 use ohm_mem::xpoint::XPointConfig;
 use ohm_mem::xpoint_ctrl::XpCtrlConfig;
@@ -172,6 +173,11 @@ impl Default for SystemConfig {
     }
 }
 
+/// Largest two-level DRAM:XPoint ratio. DRAM is sized to at least
+/// 1/(ratio + 1) of the span, so tags take at most ratio + 1 values,
+/// which must fit the cache's packed tag bits.
+pub const MAX_TWO_LEVEL_RATIO: usize = (1 << TwoLevelCache::TAG_BITS) - 1;
+
 /// A configuration problem detected by [`SystemConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
@@ -190,6 +196,13 @@ pub enum ConfigError {
     EmptyGpu,
     /// A capacity ratio must be positive.
     ZeroRatio(&'static str),
+    /// A capacity ratio exceeds what the mode's metadata can index.
+    RatioTooLarge {
+        /// Which ratio.
+        what: &'static str,
+        /// The largest accepted value.
+        max: usize,
+    },
     /// The per-warp instruction budget must be positive.
     ZeroBudget,
     /// Origin's resident fraction must be finite and in `(0, 1]`.
@@ -222,6 +235,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NotPowerOfTwo(what) => write!(f, "{what} must be a power of two"),
             ConfigError::EmptyGpu => write!(f, "need at least one SM and one warp per SM"),
             ConfigError::ZeroRatio(what) => write!(f, "{what} must be positive"),
+            ConfigError::RatioTooLarge { what, max } => write!(f, "{what} must be <= {max}"),
             ConfigError::ZeroBudget => write!(f, "instructions per warp must be positive"),
             ConfigError::BadResidentFraction(v) => {
                 write!(f, "origin resident fraction {v} must be in (0, 1]")
@@ -276,6 +290,22 @@ impl SystemConfig {
         }
         if self.memory.two_level_ratio == 0 {
             return Err(ConfigError::ZeroRatio("two-level DRAM:XPoint ratio"));
+        }
+        for (what, ratio, max) in [
+            (
+                "planar DRAM:XPoint ratio",
+                self.memory.planar_ratio,
+                PlanarMapping::MAX_RATIO,
+            ),
+            (
+                "two-level DRAM:XPoint ratio",
+                self.memory.two_level_ratio,
+                MAX_TWO_LEVEL_RATIO,
+            ),
+        ] {
+            if ratio > max {
+                return Err(ConfigError::RatioTooLarge { what, max });
+            }
         }
         let frac = self.memory.origin_resident_fraction;
         if !(frac.is_finite() && frac > 0.0 && frac <= 1.0) {
@@ -836,6 +866,29 @@ mod tests {
             SystemConfig::builder().planar_ratio(0).build(),
             Err(ConfigError::ZeroRatio("planar DRAM:XPoint ratio"))
         );
+        assert_eq!(
+            SystemConfig::builder()
+                .planar_ratio(PlanarMapping::MAX_RATIO + 1)
+                .build(),
+            Err(ConfigError::RatioTooLarge {
+                what: "planar DRAM:XPoint ratio",
+                max: 65535
+            })
+        );
+        assert_eq!(
+            SystemConfig::builder()
+                .two_level_ratio(MAX_TWO_LEVEL_RATIO + 1)
+                .build(),
+            Err(ConfigError::RatioTooLarge {
+                what: "two-level DRAM:XPoint ratio",
+                max: 16383
+            })
+        );
+        assert!(SystemConfig::builder()
+            .planar_ratio(PlanarMapping::MAX_RATIO)
+            .two_level_ratio(MAX_TWO_LEVEL_RATIO)
+            .build()
+            .is_ok());
         for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
             let err = SystemConfig::builder()
                 .origin_resident_fraction(bad)

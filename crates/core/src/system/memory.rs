@@ -309,8 +309,12 @@ impl MemorySubsystem {
                 )
             }
             (true, OperationalMode::TwoLevel) => {
+                // Rounding the share up keeps DRAM >= span / (ratio + 1),
+                // so a tag never exceeds the ratio (the packed two-level
+                // metadata relies on it; see `ConfigError::RatioTooLarge`).
                 let span = pages_per_mc * page;
-                let dram = (span / (cfg.memory.two_level_ratio as u64 + 1))
+                let dram = span
+                    .div_ceil(cfg.memory.two_level_ratio as u64 + 1)
                     .next_power_of_two()
                     .max(cfg.line_bytes);
                 (dram, span)

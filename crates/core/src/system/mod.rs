@@ -365,6 +365,25 @@ mod tests {
     }
 
     #[test]
+    fn widest_two_level_ratio_builds_at_an_uneven_span() {
+        // 513 pages per controller over 16384 shares is 128.25 bytes:
+        // flooring that to a 128 B DRAM would leave 16416 tags, past the
+        // 14-bit packed metadata; rounding up keeps them within the ratio.
+        let cfg = SystemConfig::quick_test()
+            .to_builder()
+            .two_level_ratio(crate::config::MAX_TWO_LEVEL_RATIO)
+            .insts_per_warp(50)
+            .build()
+            .unwrap();
+        let pages = 513 * cfg.memory.controllers as u64;
+        let spec = workload_by_name("lud")
+            .unwrap()
+            .with_footprint(pages * cfg.memory.page_bytes);
+        let r = System::new(&cfg, Platform::OhmBase, OperationalMode::TwoLevel, &spec).run();
+        assert!(r.instructions > 0);
+    }
+
+    #[test]
     fn two_level_misses_produce_migrations() {
         let r = run(Platform::OhmBase, OperationalMode::TwoLevel, "pagerank");
         assert!(r.migrations > 0);

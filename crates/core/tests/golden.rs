@@ -7,8 +7,9 @@
 //! "optimisation" that changes a single bit of any field — timing,
 //! energy, fault tallies, wear curves, stage histograms — fails the
 //! diff. The cells cover both memory modes, quiescent *and* armed
-//! fault/lifecycle plans, and one observability-enabled run so the
-//! stage-recording path is pinned too.
+//! fault/lifecycle plans, one observability-enabled run so the
+//! stage-recording path is pinned too, and one phased LLM run whose
+//! per-phase rows are digested as well.
 //!
 //! To rebless after an intentional behaviour change:
 //!
@@ -27,7 +28,7 @@ use ohm_core::metrics::SimReport;
 use ohm_core::system::System;
 use ohm_hetero::Platform;
 use ohm_optic::OperationalMode;
-use ohm_workloads::workload_by_name;
+use ohm_workloads::{workload_by_name, PhasePlan};
 
 /// Seed for the armed plans (distinct from the config seed so the
 /// streams visibly fork).
@@ -163,6 +164,35 @@ fn digest_report(label: &str, r: &SimReport) -> String {
             let _ = writeln!(d, "stages.dropped={}", s.dropped_events);
         }
     }
+    // Only phased cells carry rows; plan-free cells print nothing here so
+    // their snapshots predate the phase rendering unchanged.
+    for p in r.phases.iter().flat_map(|s| &s.phases) {
+        let _ = writeln!(
+            d,
+            "phase.{}=insts:{},ipc:{},span:{:?}..{:?},mem:{},lat:{},slice:{},dram:{},xpoint:{},hit:{}",
+            p.name,
+            p.instructions,
+            f(p.ipc),
+            p.span.0,
+            p.span.1,
+            p.mem_requests,
+            f(p.avg_mem_latency_ns),
+            f(p.avg_slice_latency_ns),
+            p.dram_served,
+            p.xpoint_served,
+            f(p.dram_hit_rate)
+        );
+        for st in &p.stages {
+            let _ = writeln!(
+                d,
+                "phase.{}.{}=count:{},mean:{}",
+                p.name,
+                st.name,
+                st.count,
+                f(st.mean_ns)
+            );
+        }
+    }
     d
 }
 
@@ -173,6 +203,7 @@ struct GoldenCell {
     workload: &'static str,
     faults: Option<FaultPlan>,
     lifecycle: Option<LifecyclePlan>,
+    phases: Option<PhasePlan>,
     observability: bool,
 }
 
@@ -185,6 +216,7 @@ fn cells() -> Vec<GoldenCell> {
             workload: "pagerank",
             faults: None,
             lifecycle: None,
+            phases: None,
             observability: false,
         },
         GoldenCell {
@@ -194,6 +226,7 @@ fn cells() -> Vec<GoldenCell> {
             workload: "bfsdata",
             faults: None,
             lifecycle: None,
+            phases: None,
             observability: false,
         },
         // Quiescent plans must stay bit-identical to plan-free runs in
@@ -206,6 +239,7 @@ fn cells() -> Vec<GoldenCell> {
             workload: "pagerank",
             faults: Some(FaultPlan::quiescent(PLAN_SEED)),
             lifecycle: Some(LifecyclePlan::quiescent(PLAN_SEED)),
+            phases: None,
             observability: false,
         },
         GoldenCell {
@@ -215,6 +249,7 @@ fn cells() -> Vec<GoldenCell> {
             workload: "lud",
             faults: Some(FaultPlan::at_severity(PLAN_SEED, 0.7)),
             lifecycle: Some(LifecyclePlan::accelerated(PLAN_SEED, 2)),
+            phases: None,
             observability: false,
         },
         GoldenCell {
@@ -224,6 +259,7 @@ fn cells() -> Vec<GoldenCell> {
             workload: "gctopo",
             faults: Some(FaultPlan::at_severity(PLAN_SEED, 0.7)),
             lifecycle: Some(LifecyclePlan::accelerated(PLAN_SEED, 2)),
+            phases: None,
             observability: false,
         },
         // Observability on: pins the stage-recording path (batched
@@ -235,7 +271,21 @@ fn cells() -> Vec<GoldenCell> {
             workload: "FDTD",
             faults: None,
             lifecycle: None,
+            phases: None,
             observability: true,
+        },
+        // Ohm-WOM in two-level mode under the LLM phase plan: pins
+        // reverse write, the phased generator and the two-level fill
+        // path (`kv-append` is write-heavy) together.
+        GoldenCell {
+            label: "twolevel-llm-wom",
+            platform: Platform::OhmWom,
+            mode: OperationalMode::TwoLevel,
+            workload: "gctopo",
+            faults: None,
+            lifecycle: None,
+            phases: Some(PhasePlan::llm_inference()),
+            observability: false,
         },
     ]
 }
@@ -244,6 +294,7 @@ fn run_cell(cell: &GoldenCell) -> String {
     let mut cfg = SystemConfig::quick_test();
     cfg.faults = cell.faults.clone();
     cfg.lifecycle = cell.lifecycle.clone();
+    cfg.phases = cell.phases.clone();
     let spec = workload_by_name(cell.workload)
         .unwrap()
         .with_footprint(SystemConfig::EVALUATION_FOOTPRINT / 8);

@@ -188,18 +188,26 @@ pub struct PlanarMapping {
 }
 
 impl PlanarMapping {
+    /// Largest ratio: in-group slots (`0..=ratio`) are stored as `u16`.
+    pub const MAX_RATIO: usize = u16::MAX as usize;
+
     /// Creates the initial identity mapping (slot 0 of each group in DRAM).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration yields zero groups or a non-power-of-two
-    /// page size.
+    /// Panics if the configuration yields zero groups, a non-power-of-two
+    /// page size, or a ratio above 65535 (slots are stored as `u16`).
     pub fn new(cfg: PlanarConfig) -> Self {
         assert!(
             cfg.page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
         assert!(cfg.ratio > 0, "need at least one XPoint page per group");
+        assert!(
+            cfg.ratio <= Self::MAX_RATIO,
+            "ratio {} exceeds the u16 slot range",
+            cfg.ratio
+        );
         let n = cfg.groups();
         assert!(n > 0, "capacity too small for one group");
         // The sparse default (resident slot 0, counter 0, initial
@@ -616,5 +624,40 @@ mod tests {
             assert!(m.record_access(hot).is_none());
         }
         assert_eq!(m.pinned_swaps(), 1, "threshold must be re-earned");
+    }
+
+    #[test]
+    fn widest_ratio_keeps_every_slot() {
+        // 65535 XPoint pages per group: the top slot still round-trips
+        // through the u16 resident and sub-slot encodings.
+        let ratio = PlanarMapping::MAX_RATIO;
+        let mut m = PlanarMapping::new(PlanarConfig {
+            page_bytes: PAGE,
+            ratio,
+            hot_threshold: 1,
+            capacity_bytes: (ratio as u64 + 1) * PAGE,
+        });
+        let top = Addr::new(ratio as u64 * PAGE);
+        assert_eq!(
+            m.lookup(top),
+            PlanarLocation::XPoint(Addr::new((ratio as u64 - 1) * PAGE))
+        );
+        let req = m.record_access(top).expect("threshold 1 promotes");
+        m.commit_swap(&req);
+        assert!(m.lookup(top).is_dram());
+        assert_eq!(
+            m.lookup(Addr::new(0)),
+            PlanarLocation::XPoint(Addr::new((ratio as u64 - 1) * PAGE))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u16 slot range")]
+    fn ratio_beyond_u16_slots_is_rejected() {
+        let _ = PlanarMapping::new(PlanarConfig {
+            ratio: PlanarMapping::MAX_RATIO + 1,
+            capacity_bytes: (PlanarMapping::MAX_RATIO as u64 + 2) * 4096,
+            ..PlanarConfig::default()
+        });
     }
 }

@@ -53,10 +53,16 @@ impl TwoLevelConfig {
     }
 
     /// Width of the stored tag in bits (the paper's 3–6 bits for 1:8–1:64
-    /// ratios).
+    /// ratios): enough for the top tag, one less than `ceil(xpoint lines
+    /// / DRAM lines)`, so a geometry that is not a whole multiple of the
+    /// DRAM still counts its partial last tag.
     pub fn tag_bits(&self) -> u32 {
-        let ratio = (self.xpoint_bytes / self.dram_bytes).max(2);
-        64 - (ratio - 1).leading_zeros()
+        let tags = self
+            .xpoint_bytes
+            .div_ceil(self.line_bytes)
+            .div_ceil(self.cache_lines().max(1))
+            .max(2);
+        64 - (tags - 1).leading_zeros()
     }
 
     /// Cacheline metadata width: 1 valid bit + 1 dirty bit + the tag.
@@ -111,11 +117,41 @@ impl TwoLevelOutcome {
     }
 }
 
+/// One cacheline's metadata packed like the paper's ECC region: bit 15
+/// is valid, bit 14 is dirty, bits 0–13 hold the tag. All-zero is an
+/// invalid slot — the [`SparseState`] default — so untouched slots
+/// still cost nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Meta {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+struct Meta(u16);
+
+impl Meta {
+    const VALID: u16 = 1 << 15;
+    const DIRTY: u16 = 1 << 14;
+    const TAG_MASK: u16 = (1 << TwoLevelCache::TAG_BITS) - 1;
+
+    /// A valid entry for `tag` (which [`TwoLevelCache::new`] bounds to
+    /// [`TwoLevelCache::TAG_BITS`]).
+    fn filled(tag: u64, dirty: bool) -> Self {
+        debug_assert!(tag <= Self::TAG_MASK as u64, "tag {tag} exceeds the mask");
+        Meta(Self::VALID | if dirty { Self::DIRTY } else { 0 } | tag as u16)
+    }
+
+    fn valid(self) -> bool {
+        self.0 & Self::VALID != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.0 & Self::DIRTY != 0
+    }
+
+    fn tag(self) -> u64 {
+        (self.0 & Self::TAG_MASK) as u64
+    }
+
+    /// Whether this entry holds `tag`.
+    fn holds(self, tag: u64) -> bool {
+        self.valid() && self.tag() == tag
+    }
 }
 
 /// The direct-mapped DRAM cache state (tags modelled in-controller; the
@@ -136,9 +172,10 @@ struct Meta {
 #[derive(Debug, Clone)]
 pub struct TwoLevelCache {
     cfg: TwoLevelConfig,
-    /// Per-slot cacheline metadata, materialized only for slots actually
-    /// filled — the all-invalid default is exactly an untouched slot, so
-    /// an empty cache costs nothing regardless of DRAM capacity.
+    /// Per-slot cacheline metadata (2 bytes a slot), materialized only
+    /// for slots actually filled — the all-invalid default is exactly an
+    /// untouched slot, so an empty cache costs nothing regardless of DRAM
+    /// capacity.
     meta: SparseState<Meta>,
     hits: u64,
     misses: u64,
@@ -151,12 +188,16 @@ pub struct TwoLevelCache {
 }
 
 impl TwoLevelCache {
+    /// Widest tag a slot's packed 2-byte metadata entry holds.
+    pub const TAG_BITS: u32 = 14;
+
     /// Creates an empty (all-invalid) DRAM cache.
     ///
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero lines, XPoint smaller
-    /// than DRAM, or a non-power-of-two line size).
+    /// than DRAM, or a non-power-of-two line size) or needs tags wider
+    /// than the 14 bits a packed metadata entry holds.
     pub fn new(cfg: TwoLevelConfig) -> Self {
         assert!(
             cfg.line_bytes.is_power_of_two(),
@@ -166,6 +207,12 @@ impl TwoLevelCache {
         assert!(
             cfg.xpoint_bytes >= cfg.dram_bytes,
             "XPoint must back the whole DRAM cache"
+        );
+        assert!(
+            cfg.tag_bits() <= Self::TAG_BITS,
+            "{}-bit tags exceed the {}-bit metadata entry",
+            cfg.tag_bits(),
+            Self::TAG_BITS
         );
         TwoLevelCache {
             meta: SparseState::new(cfg.cache_lines()),
@@ -218,9 +265,9 @@ impl TwoLevelCache {
         let (index, tag) = self.decode(addr);
         let dram_addr = self.dram_addr(index);
         let m = *self.meta.get(index as u64);
-        if m.valid && m.tag == tag {
+        if m.holds(tag) {
             if is_write {
-                self.meta.get_mut(index as u64).dirty = true;
+                self.meta.set(index as u64, Meta::filled(tag, true));
             }
             self.hits += 1;
             return TwoLevelOutcome::Hit { dram_addr };
@@ -234,8 +281,8 @@ impl TwoLevelCache {
                 self.bypasses += 1;
                 return TwoLevelOutcome::Bypass { xpoint_addr };
             }
-            let resident_line = m.tag * self.cfg.cache_lines() + index as u64;
-            if m.valid && self.retired.contains(&resident_line) {
+            let resident_line = m.tag() * self.cfg.cache_lines() + index as u64;
+            if m.valid() && self.retired.contains(&resident_line) {
                 // The slot's resident is pinned (its backing line is
                 // dead); the healthy newcomer goes around the cache.
                 self.bypasses += 1;
@@ -243,19 +290,12 @@ impl TwoLevelCache {
             }
         }
         self.misses += 1;
-        let evict_to = (m.valid && m.dirty).then(|| {
+        let evict_to = (m.valid() && m.dirty()).then(|| {
             self.dirty_evictions += 1;
-            self.xpoint_addr(index, m.tag)
+            self.xpoint_addr(index, m.tag())
         });
         let xpoint_addr = self.xpoint_addr(index, tag);
-        self.meta.set(
-            index as u64,
-            Meta {
-                tag,
-                valid: true,
-                dirty: is_write,
-            },
-        );
+        self.meta.set(index as u64, Meta::filled(tag, is_write));
         TwoLevelOutcome::Miss {
             dram_addr,
             xpoint_addr,
@@ -266,8 +306,7 @@ impl TwoLevelCache {
     /// Whether the line containing `addr` is currently cached.
     pub fn contains(&self, addr: Addr) -> bool {
         let (index, tag) = self.decode(addr);
-        let m = self.meta.get(index as u64);
-        m.valid && m.tag == tag
+        self.meta.get(index as u64).holds(tag)
     }
 
     /// Hit count.
@@ -319,10 +358,10 @@ impl TwoLevelCache {
         self.meta
             .iter_touched()
             .filter(|(index, m)| {
-                m.valid
+                m.valid()
                     && self
                         .retired
-                        .contains(&(m.tag * self.cfg.cache_lines() + index))
+                        .contains(&(m.tag() * self.cfg.cache_lines() + index))
             })
             .count() as u64
     }
@@ -386,6 +425,38 @@ mod tests {
             line_bytes: 256,
         };
         assert_eq!(c8.tag_bits(), 3);
+    }
+
+    #[test]
+    fn tag_bits_count_a_partial_last_tag() {
+        // 64.5:1 — XPoint line 128 maps to tag 64, which needs 7 bits.
+        let c = TwoLevelConfig {
+            dram_bytes: 2 * 256,
+            xpoint_bytes: 129 * 256,
+            line_bytes: 256,
+        };
+        assert_eq!(c.tag_bits(), 7);
+        assert_eq!(c.metadata_bits(), 9);
+        let mut cache = TwoLevelCache::new(c);
+        let top = Addr::new(128 * 256);
+        assert!(!cache.access(top, true).is_hit());
+        assert!(cache.contains(top), "the top tag round-trips");
+        // A whole multiple stays at the floor: 64:1 -> 6 bits.
+        let whole = TwoLevelConfig {
+            xpoint_bytes: 128 * 256,
+            ..c
+        };
+        assert_eq!(whole.tag_bits(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "15-bit tags exceed the 14-bit metadata entry")]
+    fn tags_wider_than_the_entry_are_rejected() {
+        let _ = TwoLevelCache::new(TwoLevelConfig {
+            dram_bytes: 256,
+            xpoint_bytes: ((1 << 14) + 1) * 256,
+            line_bytes: 256,
+        });
     }
 
     #[test]

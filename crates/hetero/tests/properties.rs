@@ -347,11 +347,70 @@ impl DenseTwoLevel {
     }
 }
 
+/// Drives `cache` and the `(tag, valid, dirty)` reference through `ops`
+/// random operations — 2% retirements, the rest reads and writes at
+/// addresses drawn by `pick` — and requires identical outcomes, residency
+/// and tallies.
+fn run_against_reference(
+    cfg: TwoLevelConfig,
+    rng: &mut SplitMix64,
+    ops: usize,
+    mut pick: impl FnMut(&mut SplitMix64) -> Addr,
+) {
+    use ohm_hetero::TwoLevelOutcome;
+    let mut cache = TwoLevelCache::new(cfg);
+    let mut dense = DenseTwoLevel::new(cfg);
+    for _ in 0..ops {
+        let op = rng.next_below(100);
+        if op < 2 {
+            let xp = pick(rng);
+            cache.retire_line(xp);
+            dense.retired.insert(xp.get() / cfg.line_bytes);
+            continue;
+        }
+        let addr = pick(rng);
+        let is_write = op.is_multiple_of(2);
+        let want = dense.access(addr, is_write);
+        let got = cache.access(addr, is_write);
+        match (got, want) {
+            (TwoLevelOutcome::Hit { dram_addr }, (0, dram, _, _)) => {
+                assert_eq!(dram_addr.get(), dram);
+            }
+            (
+                TwoLevelOutcome::Miss {
+                    dram_addr,
+                    xpoint_addr,
+                    evict_to,
+                },
+                (1, dram, xp, evict),
+            ) => {
+                assert_eq!(dram_addr.get(), dram);
+                assert_eq!(xpoint_addr.get(), xp);
+                assert_eq!(evict_to.map(|a| a.get()), evict);
+            }
+            (TwoLevelOutcome::Bypass { xpoint_addr }, (2, _, xp, _)) => {
+                assert_eq!(xpoint_addr.get(), xp);
+            }
+            (got, want) => panic!("outcome divergence: cache={got:?} reference={want:?}"),
+        }
+        assert_eq!(cache.contains(addr), {
+            let line = addr.get() / cfg.line_bytes;
+            let index = (line % cfg.cache_lines()) as usize;
+            let (tag, valid, _) = dense.meta[index];
+            valid && tag == line / cfg.cache_lines()
+        });
+    }
+    assert_eq!(cache.hits(), dense.hits);
+    assert_eq!(cache.misses(), dense.misses);
+    assert_eq!(cache.dirty_evictions(), dense.dirty_evictions);
+    assert_eq!(cache.bypasses(), dense.bypasses);
+    assert_eq!(cache.pinned_lines(), dense.pinned_lines());
+}
+
 /// The sparse two-level cache is bit-identical to the dense metadata
 /// vector it replaced under random access/retire sequences.
 #[test]
 fn sparse_two_level_matches_dense_oracle() {
-    use ohm_hetero::TwoLevelOutcome;
     let mut rng = SplitMix64::new(0x2CA);
     for case in 0..16u64 {
         let cfg = TwoLevelConfig {
@@ -359,55 +418,60 @@ fn sparse_two_level_matches_dense_oracle() {
             xpoint_bytes: (2 + case % 4) * 16 * 256 * 8,
             line_bytes: 256,
         };
-        let mut sparse = TwoLevelCache::new(cfg);
-        let mut dense = DenseTwoLevel::new(cfg);
-        for _ in 0..4000 {
-            let op = rng.next_below(100);
-            if op < 2 {
-                let xp = Addr::new(rng.next_below(cfg.xpoint_bytes));
-                sparse.retire_line(xp);
-                let line = xp.get() / cfg.line_bytes;
-                dense.retired.insert(line);
-                continue;
-            }
-            let addr = Addr::new(rng.next_below(cfg.xpoint_bytes));
-            let is_write = op.is_multiple_of(2);
-            let want = dense.access(addr, is_write);
-            let got = sparse.access(addr, is_write);
-            match (got, want) {
-                (TwoLevelOutcome::Hit { dram_addr }, (0, dram, _, _)) => {
-                    assert_eq!(dram_addr.get(), dram);
-                }
-                (
-                    TwoLevelOutcome::Miss {
-                        dram_addr,
-                        xpoint_addr,
-                        evict_to,
-                    },
-                    (1, dram, xp, evict),
-                ) => {
-                    assert_eq!(dram_addr.get(), dram);
-                    assert_eq!(xpoint_addr.get(), xp);
-                    assert_eq!(evict_to.map(|a| a.get()), evict);
-                }
-                (TwoLevelOutcome::Bypass { xpoint_addr }, (2, _, xp, _)) => {
-                    assert_eq!(xpoint_addr.get(), xp);
-                }
-                (got, want) => panic!("outcome divergence: sparse={got:?} dense={want:?}"),
-            }
-            assert_eq!(sparse.contains(addr), {
-                let line = addr.get() / cfg.line_bytes;
-                let index = (line % cfg.cache_lines()) as usize;
-                let (tag, valid, _) = dense.meta[index];
-                valid && tag == line / cfg.cache_lines()
-            });
-        }
-        assert_eq!(sparse.hits(), dense.hits);
-        assert_eq!(sparse.misses(), dense.misses);
-        assert_eq!(sparse.dirty_evictions(), dense.dirty_evictions);
-        assert_eq!(sparse.bypasses(), dense.bypasses);
-        assert_eq!(sparse.pinned_lines(), dense.pinned_lines());
+        run_against_reference(cfg, &mut rng, 4000, |rng| {
+            Addr::new(rng.next_below(cfg.xpoint_bytes))
+        });
     }
+}
+
+/// The packed 2-byte metadata keeps the wide `(tag, valid, dirty)`
+/// semantics up to the widest tag it holds: every geometry here has
+/// 2^14 tags per slot, and accesses crowd the lowest and highest tags so
+/// tag 2^14 − 1 meets valid/dirty state and conflicts with tag 0.
+#[test]
+fn packed_two_level_matches_wide_reference_at_the_widest_tags() {
+    const TAGS: u64 = 1 << 14;
+    let mut rng = SplitMix64::new(0x7A6);
+    for case in 0..12u64 {
+        let lines = 1 + case % 5;
+        let cfg = TwoLevelConfig {
+            dram_bytes: lines * 256,
+            xpoint_bytes: lines * 256 * TAGS,
+            line_bytes: 256,
+        };
+        assert_eq!(cfg.tag_bits(), 14);
+        run_against_reference(cfg, &mut rng, 3000, |rng| {
+            let tag = match rng.next_below(4) {
+                0 => rng.next_below(3),
+                1 => TAGS - 1 - rng.next_below(3),
+                _ => rng.next_below(TAGS),
+            };
+            let index = rng.next_below(lines);
+            Addr::new((tag * lines + index) * 256 + rng.next_below(256))
+        });
+    }
+}
+
+/// Filled slots cost about 2 bytes each (plus the sparse chunk
+/// overhead), not the 16 of a `(u64, bool, bool)` entry.
+#[test]
+fn filled_two_level_slots_cost_under_three_bytes_each() {
+    let chunks = 32u64;
+    let slots = chunks * ohm_sim::sparse::CHUNK_LEN as u64;
+    let mut cache = TwoLevelCache::new(TwoLevelConfig {
+        dram_bytes: slots * 256,
+        xpoint_bytes: slots * 256 * 64,
+        line_bytes: 256,
+    });
+    for slot in 0..slots {
+        cache.access(Addr::new((63 * slots + slot) * 256), slot % 3 == 0);
+    }
+    assert_eq!(cache.touched_chunks() as u64, chunks);
+    assert!(
+        cache.state_bytes() as u64 <= 3 * slots,
+        "{} bytes for {slots} slots",
+        cache.state_bytes()
+    );
 }
 
 /// Construction is free and state grows with pages *touched*, not with

@@ -463,6 +463,14 @@ mod tests {
                 r#"{"platforms": ["Ohm-base"], "workloads": ["lud"], "footprint": 3}"#,
                 "footprint",
             ),
+            (
+                r#"{"platforms": ["Ohm-base"], "workloads": ["lud"], "config": {"planar_ratio": 65536}}"#,
+                "planar dram:xpoint ratio must be <= 65535",
+            ),
+            (
+                r#"{"platforms": ["Ohm-base"], "workloads": ["lud"], "config": {"two_level_ratio": 16384}}"#,
+                "two-level dram:xpoint ratio must be <= 16383",
+            ),
         ] {
             let err = parse_job(body).expect_err(body);
             assert!(

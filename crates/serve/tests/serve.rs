@@ -294,6 +294,10 @@ fn http_surface_validates_and_reports_errors() {
             r#"{"platforms": ["Ohm-base"], "workloads": ["lud"], "config": {"sms": 0}}"#,
             "SM",
         ),
+        (
+            r#"{"platforms": ["Ohm-base"], "workloads": ["lud"], "config": {"two_level_ratio": 16384}}"#,
+            "two-level DRAM:XPoint ratio must be <= 16383",
+        ),
     ] {
         let resp = client.submit(body).unwrap();
         assert_eq!(resp.status, 400, "{body}");
